@@ -32,9 +32,9 @@ impl RedirectProxy {
     /// Deploys a proxy listening at `listen` and forwarding every
     /// request to `target`.
     ///
-    /// Like [`starlink_core::MediatorHost`], the accept loop polls the
-    /// listener (so shutdown takes effect promptly) and tolerates
-    /// transient accept failures instead of dying on the first.
+    /// The accept loop polls the listener (so shutdown takes effect
+    /// promptly) and tolerates transient accept failures instead of dying
+    /// on the first.
     ///
     /// # Errors
     ///
@@ -87,10 +87,12 @@ impl RedirectProxy {
                             Ok(r) => r,
                             Err(_) => return,
                         };
+                        // Counted before the reply goes out, so a client
+                        // holding its reply already sees the exchange.
+                        counter.fetch_add(1, Ordering::SeqCst);
                         if client.send(&reply).is_err() {
                             return;
                         }
-                        counter.fetch_add(1, Ordering::SeqCst);
                     }
                 }));
             }
@@ -136,7 +138,8 @@ impl Drop for RedirectProxy {
 mod tests {
     use super::*;
     use crate::calculator::{AddClient, AddService};
-    use starlink_net::MemoryTransport;
+    use starlink_net::{Connection, Listener, MemoryTransport, Transport};
+    use std::sync::mpsc::Receiver;
 
     #[test]
     fn proxy_relays_rpc_traffic_transparently() {
@@ -154,6 +157,115 @@ mod tests {
         assert_eq!(client.add(20, 22).unwrap(), 42);
         assert_eq!(client.add(1, 1).unwrap(), 2);
         assert_eq!(proxy.relayed_exchanges(), 2);
+    }
+
+    /// The memory transport, except that connections it accepts hold
+    /// each send, after delivering it, until the test releases them: the
+    /// test sees exactly what a client can observe the moment its reply
+    /// lands.
+    struct Gated {
+        inner: MemoryTransport,
+        release: Arc<Mutex<Receiver<()>>>,
+    }
+
+    struct GatedListener {
+        inner: Box<dyn Listener>,
+        release: Arc<Mutex<Receiver<()>>>,
+    }
+
+    struct GatedConn {
+        inner: Box<dyn Connection>,
+        release: Arc<Mutex<Receiver<()>>>,
+    }
+
+    impl Transport for Gated {
+        fn scheme(&self) -> &str {
+            "memory"
+        }
+
+        fn listen(&self, endpoint: &Endpoint) -> starlink_net::Result<Box<dyn Listener>> {
+            Ok(Box::new(GatedListener {
+                inner: self.inner.listen(endpoint)?,
+                release: self.release.clone(),
+            }))
+        }
+
+        fn connect(&self, endpoint: &Endpoint) -> starlink_net::Result<Box<dyn Connection>> {
+            self.inner.connect(endpoint)
+        }
+    }
+
+    impl GatedListener {
+        fn gate(&self, inner: Box<dyn Connection>) -> Box<dyn Connection> {
+            Box::new(GatedConn {
+                inner,
+                release: self.release.clone(),
+            })
+        }
+    }
+
+    impl Listener for GatedListener {
+        fn accept(&self) -> starlink_net::Result<Box<dyn Connection>> {
+            Ok(self.gate(self.inner.accept()?))
+        }
+
+        fn try_accept(&self) -> starlink_net::Result<Option<Box<dyn Connection>>> {
+            Ok(self.inner.try_accept()?.map(|c| self.gate(c)))
+        }
+
+        fn local_endpoint(&self) -> Endpoint {
+            self.inner.local_endpoint()
+        }
+    }
+
+    impl Connection for GatedConn {
+        fn send(&mut self, data: &[u8]) -> starlink_net::Result<()> {
+            self.inner.send(data)?;
+            let _ = self.release.lock().unwrap().recv();
+            Ok(())
+        }
+
+        fn receive(&mut self) -> starlink_net::Result<Vec<u8>> {
+            self.inner.receive()
+        }
+
+        fn receive_timeout(&mut self, timeout: Duration) -> starlink_net::Result<Vec<u8>> {
+            self.inner.receive_timeout(timeout)
+        }
+
+        fn try_receive(&mut self) -> starlink_net::Result<Option<Vec<u8>>> {
+            self.inner.try_receive()
+        }
+
+        fn peer(&self) -> String {
+            self.inner.peer()
+        }
+    }
+
+    #[test]
+    fn relayed_count_includes_the_reply_just_received() {
+        let memory = MemoryTransport::new();
+        let mut net = NetworkEngine::new();
+        net.register(Arc::new(memory.clone()));
+        let (release_tx, gate) = std::sync::mpsc::channel();
+        let mut gated = NetworkEngine::new();
+        gated.register(Arc::new(Gated {
+            inner: memory,
+            release: Arc::new(Mutex::new(gate)),
+        }));
+        let service = AddService::deploy(&net, &Endpoint::memory("add")).unwrap();
+        let proxy = RedirectProxy::deploy(&gated, &Endpoint::memory("counted"), service.endpoint())
+            .unwrap();
+        let mut client = AddClient::connect(&net, proxy.endpoint()).unwrap();
+        // Bound after the proxy so that, if an assertion fails, the gate
+        // opens before the proxy's shutdown joins the relay thread.
+        let release = release_tx;
+        for i in 1..=20 {
+            // The relay thread is still inside its reply send here.
+            assert_eq!(client.add(i, 1).unwrap(), i + 1);
+            assert_eq!(proxy.relayed_exchanges(), i as usize);
+            release.send(()).unwrap();
+        }
     }
 
     #[test]

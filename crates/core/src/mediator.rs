@@ -11,7 +11,11 @@
 //! Two deployment shapes share the same sans-I/O [`SessionCore`]:
 //!
 //! * [`MediatorHost::deploy`] — thread per client connection, blocking
-//!   I/O (the original engine's shape);
+//!   I/O (the original engine's shape). The threads are reused in a
+//!   leader/followers pool: one thread blocks in `accept`, serves the
+//!   connection it gets after handing `accept` to the next idle thread,
+//!   and goes back to accepting when the connection ends. Shutdown wakes
+//!   the blocked `accept` by dialing the host's own endpoint;
 //! * [`MediatorHost::deploy_multiplexed`] — one coordinator polling
 //!   connection readiness plus a bounded worker pool stepping session
 //!   cores, so many idle clients cost no threads.
@@ -27,22 +31,28 @@ use crate::Result;
 use starlink_automata::{Action, Automaton};
 use starlink_mtl::MtlProgram;
 use starlink_net::channel::{self, Receiver, Sender};
-use starlink_net::{Connection, Endpoint, NetError, NetworkEngine};
+use starlink_net::{Connection, Endpoint, Listener, NetError, NetworkEngine};
 use starlink_telemetry::{
     chrome_events, evaluate_pair, render_chrome_json, FanoutSink, FlightRecorder, HealthInputs,
     HealthReport, Recorder, SessionTracer, Snapshot, TelemetrySink, TraceBuffer, TraceEvent,
     WindowAggregator, WindowCounts,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the accept/coordinator loops sleep when nothing is ready.
+/// How long the coordinator and diagnostics loops sleep when nothing is
+/// ready.
 const IDLE_POLL: Duration = Duration::from_millis(1);
 
-/// How long the accept loop backs off after a transient accept error.
+/// Idle session threads a [`MediatorHost::deploy`] host keeps: a thread
+/// whose connection ends while this many are idle exits instead of
+/// rejoining the pool.
+const MAX_IDLE_SESSION_THREADS: usize = 4;
+
+/// How long a host backs off after a transient accept error.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// How long the diagnostics endpoint waits for an optional selector
@@ -259,6 +269,10 @@ pub struct MediatorHost {
     /// Everything the diagnostics endpoint needs, cloneable into its
     /// serving thread.
     diag: DiagState,
+    /// The session-thread pool of a [`MediatorHost::deploy`] host, taken
+    /// by [`MediatorHost::shutdown`].
+    pool: Mutex<Option<Arc<SessionPool>>>,
+    /// Coordinator, workers and diagnostics endpoints.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -423,14 +437,18 @@ fn read_selector(conn: &mut dyn Connection, default_selector: &str) -> String {
 impl MediatorHost {
     /// Deploys the mediator at `listen`, thread-per-connection.
     ///
-    /// The accept loop polls so that [`MediatorHost::shutdown`] takes
-    /// effect promptly, tolerates transient accept errors (backing off
-    /// briefly instead of dying), and exits only on shutdown or when the
+    /// Connections are served by a leader/followers pool of session
+    /// threads: the leader blocks in [`Listener::accept`], serves what it
+    /// accepts on its own thread, and rejoins the pool when the
+    /// connection ends; a follower is started whenever the leader was the
+    /// last idle thread, and spare idle threads beyond a small fixed
+    /// number exit. Transient accept errors back off briefly instead of
+    /// killing the pool, which stops only on shutdown or when the
     /// listener itself closes.
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind failures; failure to start the first session thread.
     pub fn deploy(mut mediator: Mediator, listen: &Endpoint) -> Result<MediatorHost> {
         let listener = mediator.net.listen(listen)?;
         let endpoint = listener.local_endpoint();
@@ -440,86 +458,16 @@ impl MediatorHost {
         let ops = build_ops(&mediator, &telemetry);
         let pair = mediator.spec.automaton.name().to_owned();
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = stop.clone();
-        let accept_ops = ops.clone();
-        let mediator = Arc::new(mediator);
-        let accept_thread = std::thread::spawn(move || {
-            let sink = mediator.spec.telemetry.clone();
-            let mut session_threads: Vec<JoinHandle<()>> = Vec::new();
-            let mut next_session_id: u64 = 0;
-            while !accept_stop.load(Ordering::SeqCst) {
-                let mut conn = match listener.try_accept() {
-                    Ok(Some(c)) => c,
-                    Ok(None) => {
-                        std::thread::sleep(IDLE_POLL);
-                        continue;
-                    }
-                    Err(NetError::Closed) => break,
-                    Err(_) => {
-                        // Transient (e.g. EMFILE, aborted handshake):
-                        // keep serving.
-                        sink.record(&TraceEvent::AcceptError);
-                        std::thread::sleep(ACCEPT_BACKOFF);
-                        continue;
-                    }
-                };
-                // The session trace id is minted here, at accept time, so
-                // the accept event itself lands in the session's trace.
-                let tracer = SessionTracer::for_sink(sink.as_ref());
-                match &tracer {
-                    Some(t) => t.record(sink.as_ref(), &TraceEvent::SessionAccepted),
-                    None => sink.record(&TraceEvent::SessionAccepted),
-                }
-                let watch = accept_ops.as_ref().map(|ops| {
-                    next_session_id += 1;
-                    ops.directory.upsert(SessionEntry {
-                        id: next_session_id,
-                        state: "accepted".to_owned(),
-                        awaiting: None,
-                        since: Instant::now(),
-                        stalled: false,
-                    });
-                    SessionWatch {
-                        ops: ops.clone(),
-                        id: next_session_id,
-                    }
-                });
-                let mediator = mediator.clone();
-                let stop = accept_stop.clone();
-                session_threads.push(std::thread::spawn(move || {
-                    // The translation cache persists across traversals on
-                    // the same connection (getInfo after search).
-                    let mut state = ConnectionState::new();
-                    state.tracer = tracer;
-                    while !stop.load(Ordering::SeqCst) {
-                        let run = driver::run_blocking(
-                            &mediator.spec,
-                            &mediator.net,
-                            mediator.timeout,
-                            conn.as_mut(),
-                            &mut state,
-                            Some(&stop),
-                            watch.as_ref(),
-                        );
-                        // Completions are counted by the session core
-                        // itself (`SessionFinished` fires before the
-                        // final reply hits the wire); failures by the
-                        // driver.
-                        match run {
-                            Ok(_) => {}
-                            Err(CoreError::Net(NetError::Timeout)) => continue,
-                            Err(_) => break,
-                        }
-                    }
-                    if let Some(w) = &watch {
-                        w.ops.directory.remove(w.id);
-                    }
-                }));
-            }
-            for t in session_threads {
-                let _ = t.join();
-            }
+        let pool = Arc::new(SessionPool {
+            listener: Mutex::new(listener),
+            threads: Mutex::new(PoolThreads::default()),
+            mediator: Arc::new(mediator),
+            stop: stop.clone(),
+            ops: ops.clone(),
+            next_session_id: AtomicU64::new(0),
         });
+        pool.spawn(&mut pool.lock_threads())
+            .map_err(NetError::from)?;
         let diag = DiagState {
             telemetry: telemetry.clone(),
             trace_buffer: trace_buffer.clone(),
@@ -535,7 +483,8 @@ impl MediatorHost {
             trace_buffer,
             flight,
             diag,
-            threads: Mutex::new(vec![accept_thread]),
+            pool: Mutex::new(Some(pool)),
+            threads: Mutex::new(Vec::new()),
         })
     }
 
@@ -619,6 +568,7 @@ impl MediatorHost {
             trace_buffer,
             flight,
             diag,
+            pool: Mutex::new(None),
             threads: Mutex::new(threads),
         })
     }
@@ -781,7 +731,9 @@ impl MediatorHost {
 
     /// Shuts the host down and waits for its threads: no new sessions
     /// start, in-flight sessions are interrupted at their next receive
-    /// slice, and the accept/coordinator/worker threads are joined.
+    /// slice, and the session/coordinator/worker threads are joined. The
+    /// session thread blocked in `accept` is woken by dialing the host's
+    /// own endpoint; that connection is dropped unrecorded.
     ///
     /// Robust against worker panics: a poisoned thread-list lock is
     /// recovered (the panicking thread only ever pushed complete
@@ -789,6 +741,14 @@ impl MediatorHost {
     /// event instead of propagating out of shutdown.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        let pool = self
+            .pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(pool) = pool {
+            pool.shutdown(&self.endpoint);
+        }
         let handles: Vec<JoinHandle<()>> = {
             let mut guard = match self.threads.lock() {
                 Ok(guard) => guard,
@@ -810,6 +770,232 @@ impl MediatorHost {
 impl Drop for MediatorHost {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The session threads of a [`MediatorHost::deploy`] host, organised as
+/// leader/followers: the thread holding `listener` is the leader and
+/// blocks in `accept`; once a connection arrives it releases the lock
+/// (promoting the next follower) and serves the connection itself, then
+/// queues for the listener again. No thread is spawned per connection
+/// and none sleeps waiting for one.
+struct SessionPool {
+    listener: Mutex<Box<dyn Listener>>,
+    threads: Mutex<PoolThreads>,
+    mediator: Arc<Mediator>,
+    stop: Arc<AtomicBool>,
+    ops: Option<Arc<OpsRuntime>>,
+    /// Session-directory ids, in accept order.
+    next_session_id: AtomicU64,
+}
+
+/// Every pool thread not yet joined. A thread is idle while it is
+/// blocked in `accept` or queued for the listener.
+#[derive(Default)]
+struct PoolThreads {
+    all: Vec<PoolThread>,
+    next_id: u64,
+}
+
+struct PoolThread {
+    id: u64,
+    idle: bool,
+    handle: JoinHandle<()>,
+}
+
+impl PoolThreads {
+    fn idle(&self) -> usize {
+        self.all.iter().filter(|t| t.idle).count()
+    }
+
+    fn mark(&mut self, id: u64, idle: bool) {
+        if let Some(t) = self.all.iter_mut().find(|t| t.id == id) {
+            t.idle = idle;
+        }
+    }
+}
+
+impl SessionPool {
+    /// Every update to the thread list is complete before the lock is
+    /// released, so a poisoned lock still guards consistent data.
+    fn lock_threads(&self) -> std::sync::MutexGuard<'_, PoolThreads> {
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn join(&self, handle: JoinHandle<()>) {
+        if handle.join().is_err() {
+            self.mediator
+                .spec
+                .telemetry
+                .record(&TraceEvent::WorkerPanic);
+        }
+    }
+
+    /// Starts an idle thread. Spares that have exited are joined first,
+    /// so the list holds live threads only, not one per connection.
+    fn spawn(self: &Arc<Self>, threads: &mut PoolThreads) -> std::io::Result<()> {
+        let (done, live) = std::mem::take(&mut threads.all)
+            .into_iter()
+            .partition(|t| t.handle.is_finished());
+        threads.all = live;
+        for t in done {
+            self.join(t.handle);
+        }
+        let id = threads.next_id;
+        threads.next_id += 1;
+        let pool = self.clone();
+        let handle = std::thread::Builder::new()
+            .name("starlink-session".to_owned())
+            .spawn(move || pool.run(id))?;
+        threads.all.push(PoolThread {
+            id,
+            idle: true,
+            handle,
+        });
+        Ok(())
+    }
+
+    fn run(self: &Arc<Self>, id: u64) {
+        while let Some(conn) = self.lead(id) {
+            self.serve(conn);
+            if !self.rejoin(id) {
+                return;
+            }
+        }
+        self.lock_threads().mark(id, false);
+    }
+
+    /// Waits for the listener, then blocks in `accept`. `None` on
+    /// shutdown or when the listener closes.
+    fn lead(self: &Arc<Self>, id: u64) -> Option<Box<dyn Connection>> {
+        loop {
+            let listener = self.listener.lock().unwrap_or_else(PoisonError::into_inner);
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            match listener.accept() {
+                // Accepted after shutdown — normally the host's own
+                // wake-up dial: dropped, not counted as a session.
+                Ok(_) if self.stop.load(Ordering::SeqCst) => return None,
+                Ok(conn) => {
+                    self.promote(id);
+                    return Some(conn);
+                }
+                Err(NetError::Closed) => return None,
+                Err(_) => {
+                    // Transient (e.g. EMFILE, aborted handshake): keep
+                    // serving.
+                    drop(listener);
+                    self.mediator
+                        .spec
+                        .telemetry
+                        .record(&TraceEvent::AcceptError);
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                }
+            }
+        }
+    }
+
+    /// Marks the leader busy. If it was the last idle thread, a follower
+    /// is started before the leader goes off to serve, so one thread is
+    /// always waiting in `accept`. (If the spawn fails, the host accepts
+    /// again once a connection ends.)
+    fn promote(self: &Arc<Self>, id: u64) {
+        let mut threads = self.lock_threads();
+        threads.mark(id, false);
+        if threads.idle() == 0 && !self.stop.load(Ordering::SeqCst) {
+            let _ = self.spawn(&mut threads);
+        }
+    }
+
+    /// A connection ended: back to accepting, unless the host is stopping
+    /// or enough threads are idle already (then the thread exits).
+    fn rejoin(&self, id: u64) -> bool {
+        let mut threads = self.lock_threads();
+        if self.stop.load(Ordering::SeqCst) || threads.idle() >= MAX_IDLE_SESSION_THREADS {
+            return false;
+        }
+        threads.mark(id, true);
+        true
+    }
+
+    /// Serves one client connection until it closes or fails, or the host
+    /// stops: one engine session per automaton traversal.
+    fn serve(&self, mut conn: Box<dyn Connection>) {
+        let mediator = &self.mediator;
+        let sink = mediator.spec.telemetry.as_ref();
+        // The session trace id is minted at accept time, so the accept
+        // event itself lands in the session's trace.
+        let tracer = SessionTracer::for_sink(sink);
+        match &tracer {
+            Some(t) => t.record(sink, &TraceEvent::SessionAccepted),
+            None => sink.record(&TraceEvent::SessionAccepted),
+        }
+        let watch = self.ops.as_ref().map(|ops| {
+            let id = self.next_session_id.fetch_add(1, Ordering::SeqCst) + 1;
+            ops.directory.upsert(SessionEntry {
+                id,
+                state: "accepted".to_owned(),
+                awaiting: None,
+                since: Instant::now(),
+                stalled: false,
+            });
+            SessionWatch {
+                ops: ops.clone(),
+                id,
+            }
+        });
+        // The translation cache persists across traversals on the same
+        // connection (getInfo after search).
+        let mut state = ConnectionState::new();
+        state.tracer = tracer;
+        while !self.stop.load(Ordering::SeqCst) {
+            let run = driver::run_blocking(
+                &mediator.spec,
+                &mediator.net,
+                mediator.timeout,
+                conn.as_mut(),
+                &mut state,
+                Some(&self.stop),
+                watch.as_ref(),
+            );
+            // Completions are counted by the session core itself
+            // (`SessionFinished` fires before the final reply hits the
+            // wire); failures by the driver.
+            match run {
+                Ok(_) => {}
+                Err(CoreError::Net(NetError::Timeout)) => continue,
+                Err(_) => break,
+            }
+        }
+        if let Some(w) = &watch {
+            w.ops.directory.remove(w.id);
+        }
+    }
+
+    /// Called after `stop` is set: wakes the thread blocked in `accept`
+    /// by dialing the host's own endpoint (with one empty frame, which a
+    /// datagram listener needs to return), then joins every thread. Each
+    /// thread that takes the listener from then on sees `stop` and exits.
+    /// If the dial fails the idle threads cannot be woken: they are left
+    /// detached and only the threads serving connections are joined.
+    fn shutdown(&self, endpoint: &Endpoint) {
+        let woken = self
+            .mediator
+            .net
+            .connect(endpoint)
+            .and_then(|mut conn| conn.send(&[]))
+            .is_ok();
+        let handles: Vec<JoinHandle<()>> = self
+            .lock_threads()
+            .all
+            .drain(..)
+            .filter(|t| woken || !t.idle)
+            .map(|t| t.handle)
+            .collect();
+        for handle in handles {
+            self.join(handle);
+        }
     }
 }
 
@@ -947,7 +1133,7 @@ enum Ready {
 
 #[allow(clippy::too_many_arguments)]
 fn coordinator_loop(
-    listener: &dyn starlink_net::Listener,
+    listener: &dyn Listener,
     jobs: &Sender<Job>,
     done: &Receiver<MuxSession>,
     mediator: &Arc<Mediator>,

@@ -1,6 +1,7 @@
 //! Mediator host deployment behaviour: the multiplexed worker-pool host
-//! serving many concurrent clients with few threads, and prompt,
-//! bounded-time shutdown for both host shapes.
+//! serving many concurrent clients with few threads, the threaded host's
+//! reused session threads, and prompt, bounded-time shutdown for both
+//! host shapes.
 
 use starlink_automata::merge::{template, MergeBuilder};
 use starlink_core::{
@@ -9,7 +10,11 @@ use starlink_core::{
 };
 use starlink_mdl::MdlCodec;
 use starlink_message::{AbstractMessage, Value};
-use starlink_net::{Endpoint, MemoryTransport, NetworkEngine};
+use starlink_net::{
+    Connection, Endpoint, Listener, MemoryTransport, NetError, NetworkEngine, TcpTransport,
+    Transport, UdpTransport,
+};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -131,6 +136,11 @@ fn add_plus_merged() -> starlink_automata::Automaton {
 fn service_and_mediator(ns: &str) -> (NetworkEngine, Mediator) {
     let mut net = NetworkEngine::new();
     net.register(Arc::new(MemoryTransport::new()));
+    service_and_mediator_on(net, ns)
+}
+
+/// [`service_and_mediator`] on a given network.
+fn service_and_mediator_on(net: NetworkEngine, ns: &str) -> (NetworkEngine, Mediator) {
     let giop_codec = Arc::new(MdlCodec::from_text(GIOPISH_MDL).unwrap());
     let soap_codec = Arc::new(MdlCodec::from_text(SOAPISH_MDL).unwrap());
     let service_ep = Endpoint::memory(format!("{ns}-plus"));
@@ -336,4 +346,239 @@ fn injected_sink_receives_events_alongside_host_recorder() {
         via_caller.counter("starlink_sessions_finished_total")
     );
     host.shutdown();
+}
+
+fn add(client: &mut RpcClient, x: i64, y: i64) -> String {
+    let mut request = AbstractMessage::new("Add");
+    request.set_field("x", Value::Int(x));
+    request.set_field("y", Value::Int(y));
+    client.call(&request).unwrap().get("z").unwrap().to_text()
+}
+
+/// The process's thread count, from `/proc/self/status`.
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap()
+}
+
+/// Sessions the host counted as accepted.
+fn accepted(host: &MediatorHost) -> u64 {
+    host.telemetry_snapshot()
+        .counter("starlink_sessions_accepted_total")
+}
+
+const CHURN_CYCLES: usize = 2_000;
+
+#[test]
+fn threaded_host_reuses_session_threads_across_connections() {
+    // The process-wide thread count is only meaningful without the other
+    // tests of this binary running beside it: rerun just this test in a
+    // child process.
+    const CHILD: &str = "STARLINK_HOST_CHURN_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "threaded_host_reuses_session_threads_across_connections",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            child.status.success(),
+            "child test run failed:\n{}{}",
+            String::from_utf8_lossy(&child.stdout),
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+    let (net, mediator) = service_and_mediator("churn");
+    let codec = Arc::new(MdlCodec::from_text(GIOPISH_MDL).unwrap());
+    let before = process_threads();
+    let host = MediatorHost::deploy(mediator, &Endpoint::memory("churn-bridge")).unwrap();
+    for i in 0..CHURN_CYCLES {
+        let mut client = RpcClient::connect(
+            &net,
+            host.endpoint(),
+            codec.clone(),
+            giop_binding(),
+            add_interface(),
+        )
+        .unwrap();
+        assert_eq!(add(&mut client, i as i64, 1), (i + 1).to_string());
+    }
+    assert_eq!(accepted(&host), CHURN_CYCLES as u64);
+    // Closing connections end their session threads' sessions (and the
+    // Plus service's connection threads) asynchronously: allow them a
+    // moment to go idle or exit.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut after = process_threads();
+    while after > before + 8 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        after = process_threads();
+    }
+    assert!(
+        after <= before + 8,
+        "{before} threads before {CHURN_CYCLES} connections, {after} after"
+    );
+    host.shutdown();
+    assert_eq!(accepted(&host), CHURN_CYCLES as u64);
+}
+
+/// Wraps a transport so that each listener reports its endpoint on a
+/// channel whenever a thread enters `accept`.
+struct Announce {
+    inner: Arc<dyn Transport>,
+    entered: Sender<Endpoint>,
+}
+
+struct AnnounceListener {
+    inner: Box<dyn Listener>,
+    entered: Sender<Endpoint>,
+}
+
+impl Transport for Announce {
+    fn scheme(&self) -> &str {
+        self.inner.scheme()
+    }
+
+    fn listen(&self, endpoint: &Endpoint) -> starlink_net::Result<Box<dyn Listener>> {
+        Ok(Box::new(AnnounceListener {
+            inner: self.inner.listen(endpoint)?,
+            entered: self.entered.clone(),
+        }))
+    }
+
+    fn connect(&self, endpoint: &Endpoint) -> starlink_net::Result<Box<dyn Connection>> {
+        self.inner.connect(endpoint)
+    }
+}
+
+impl Listener for AnnounceListener {
+    fn accept(&self) -> starlink_net::Result<Box<dyn Connection>> {
+        let _ = self.entered.send(self.inner.local_endpoint());
+        self.inner.accept()
+    }
+
+    fn try_accept(&self) -> starlink_net::Result<Option<Box<dyn Connection>>> {
+        self.inner.try_accept()
+    }
+
+    fn local_endpoint(&self) -> Endpoint {
+        self.inner.local_endpoint()
+    }
+}
+
+#[test]
+fn idle_threaded_host_shuts_down_within_200ms() {
+    for (name, listen) in [
+        ("memory", Endpoint::memory("idle-bridge")),
+        ("tcp", Endpoint::tcp("127.0.0.1", 0)),
+        ("udp", Endpoint::new("udp", "127.0.0.1", Some(0))),
+    ] {
+        let (entered_tx, entered) = channel();
+        let mut net = NetworkEngine::new();
+        let transports: [Arc<dyn Transport>; 3] = [
+            Arc::new(MemoryTransport::new()),
+            Arc::new(TcpTransport::new()),
+            Arc::new(UdpTransport::new()),
+        ];
+        for inner in transports {
+            net.register(Arc::new(Announce {
+                inner,
+                entered: entered_tx.clone(),
+            }));
+        }
+        let (_net, mediator) = service_and_mediator_on(net, &format!("idle-{name}"));
+        let host = MediatorHost::deploy(mediator, &listen).unwrap();
+        // Shut down only once a session thread is blocked in `accept`,
+        // so the wake-up dial is what frees it.
+        while entered.recv().unwrap() != *host.endpoint() {}
+        let started = Instant::now();
+        host.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(200),
+            "{name}: shutdown took {took:?}"
+        );
+        // The wake-up dial is not a session.
+        assert_eq!(accepted(&host), 0, "{name}");
+    }
+}
+
+/// Listens like the memory transport but refuses every dial, so a host
+/// deployed on it cannot wake its own blocked `accept`.
+struct NoDial(MemoryTransport);
+
+impl Transport for NoDial {
+    fn scheme(&self) -> &str {
+        "nodial"
+    }
+
+    fn listen(&self, endpoint: &Endpoint) -> starlink_net::Result<Box<dyn Listener>> {
+        self.0.listen(endpoint)
+    }
+
+    fn connect(&self, endpoint: &Endpoint) -> starlink_net::Result<Box<dyn Connection>> {
+        Err(NetError::NotListening {
+            endpoint: endpoint.to_string(),
+        })
+    }
+}
+
+#[test]
+fn threaded_host_shutdown_returns_when_the_wake_dial_fails() {
+    let memory = MemoryTransport::new();
+    let mut net = NetworkEngine::new();
+    net.register(Arc::new(memory.clone()));
+    net.register(Arc::new(NoDial(memory)));
+    let (net, mediator) = service_and_mediator_on(net, "nodial");
+    let listen: Endpoint = "nodial://bridge".parse().unwrap();
+    let host = MediatorHost::deploy(mediator, &listen).unwrap();
+    // A served client (reaching the listener through the memory
+    // transport underneath) holds a session thread that shutdown must
+    // still join.
+    let mut client = giop_client(&net, &Endpoint::memory("bridge"));
+    assert_eq!(add(&mut client, 2, 3), "5");
+    let started = Instant::now();
+    host.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(accepted(&host), 1);
+}
+
+#[test]
+fn threaded_host_serves_64_concurrent_clients() {
+    let (net, mediator) = service_and_mediator("threaded-64");
+    let host = MediatorHost::deploy(mediator, &Endpoint::memory("threaded-64-bridge")).unwrap();
+    let endpoint = host.endpoint().clone();
+    // Every client connects and holds its connection before any of them
+    // issues a request, so 64 sessions are open at once.
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let mut handles = Vec::new();
+    for i in 0..CLIENTS {
+        let net = net.clone();
+        let endpoint = endpoint.clone();
+        let barrier = barrier.clone();
+        handles.push(std::thread::spawn(move || {
+            let mut client = giop_client(&net, &endpoint);
+            barrier.wait();
+            assert_eq!(add(&mut client, i as i64, 1), (i + 1).to_string());
+            assert_eq!(add(&mut client, i as i64, 2), (i + 2).to_string());
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert!(host.completed_sessions() >= 2 * CLIENTS);
+    host.shutdown();
+    assert_eq!(accepted(&host), CLIENTS as u64);
 }

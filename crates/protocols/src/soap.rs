@@ -173,6 +173,27 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_envelope_is_rejected_on_a_small_stack() {
+        // One ~700 KB frame nesting 100 000 elements in the body: the
+        // codec must answer with an error, not overflow a 2 MiB stack.
+        let levels = 100_000;
+        let frame = format!(
+            "<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\">\
+             <soap:Body><Plus>{}{}</Plus></soap:Body></soap:Envelope>",
+            "<a>".repeat(levels),
+            "</a>".repeat(levels)
+        );
+        let codec = soap_envelope_codec().unwrap();
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || codec.parse(frame.as_bytes()).map(|m| m.name().to_owned()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed.is_err(), "parsed as {parsed:?}");
+    }
+
+    #[test]
     fn client_automaton_matches_fig4b() {
         let a = soap_client_automaton(2);
         a.validate().unwrap();

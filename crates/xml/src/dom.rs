@@ -2,6 +2,13 @@ use crate::error::XmlError;
 use crate::reader::{Event, Reader};
 use std::fmt;
 
+/// The deepest element nesting [`Element::parse`] accepts (the root is
+/// depth 1). Parsing recurses once per level, and so do the tree's
+/// walks, `Drop` included, so this bound keeps one hostile document from
+/// overflowing the stack; deeper input is rejected with
+/// [`XmlError::TooDeep`].
+pub const MAX_DEPTH: usize = 256;
+
 /// A name/value attribute pair (value stored unescaped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
@@ -185,8 +192,9 @@ impl Element {
     ///
     /// # Errors
     ///
-    /// Returns [`XmlError`] on malformed input, a missing root, or
-    /// trailing non-whitespace content.
+    /// Returns [`XmlError`] on malformed input, a missing root,
+    /// trailing non-whitespace content, or nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Element, XmlError> {
         let mut reader = Reader::new(input);
         // Skip prolog.
@@ -205,7 +213,7 @@ impl Element {
                         children: Vec::new(),
                     };
                     if !self_closing {
-                        read_children(&mut reader, &mut el)?;
+                        read_children(&mut reader, &mut el, 1)?;
                     }
                     break el;
                 }
@@ -234,7 +242,13 @@ impl Element {
     }
 }
 
-fn read_children(reader: &mut Reader<'_>, parent: &mut Element) -> Result<(), XmlError> {
+/// Reads `parent`'s content up to its closing tag; `depth` is the
+/// parent's nesting depth.
+fn read_children(
+    reader: &mut Reader<'_>,
+    parent: &mut Element,
+    depth: usize,
+) -> Result<(), XmlError> {
     loop {
         match reader.next_event()? {
             Event::StartElement {
@@ -242,13 +256,19 @@ fn read_children(reader: &mut Reader<'_>, parent: &mut Element) -> Result<(), Xm
                 attributes,
                 self_closing,
             } => {
+                if depth >= MAX_DEPTH {
+                    return Err(XmlError::TooDeep {
+                        limit: MAX_DEPTH,
+                        offset: reader.offset(),
+                    });
+                }
                 let mut el = Element {
                     name,
                     attributes,
                     children: Vec::new(),
                 };
                 if !self_closing {
-                    read_children(reader, &mut el)?;
+                    read_children(reader, &mut el, depth + 1)?;
                 }
                 parent.children.push(Node::Element(el));
             }
@@ -371,6 +391,56 @@ mod tests {
             .with_attr("n", "1");
         assert_eq!(e.child("param").unwrap().text(), "1");
         assert_eq!(e.attr("n"), Some("1"));
+    }
+
+    fn nested(levels: usize) -> String {
+        format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let mut e = &Element::parse(&nested(MAX_DEPTH)).unwrap();
+        let mut depth = 1;
+        while let Some(child) = e.child("a") {
+            e = child;
+            depth += 1;
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        assert!(matches!(
+            Element::parse(&nested(MAX_DEPTH + 1)),
+            Err(XmlError::TooDeep {
+                limit: MAX_DEPTH,
+                ..
+            })
+        ));
+        // A self-closing element counts as a level too.
+        let too_deep = format!(
+            "{}<b/>{}",
+            "<a>".repeat(MAX_DEPTH),
+            "</a>".repeat(MAX_DEPTH)
+        );
+        assert!(matches!(
+            Element::parse(&too_deep),
+            Err(XmlError::TooDeep { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_small_stack() {
+        // 100 000 levels would overflow a 2 MiB stack (and abort the
+        // process) if parsing recursed without a bound.
+        let levels = 100_000;
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let doc = nested(levels);
+                let unclosed = "<a>".repeat(levels);
+                (Element::parse(&doc), Element::parse(&unclosed))
+            })
+            .unwrap();
+        let (closed, unclosed) = handle.join().unwrap();
+        assert!(matches!(closed, Err(XmlError::TooDeep { .. })));
+        assert!(matches!(unclosed, Err(XmlError::TooDeep { .. })));
     }
 
     #[test]

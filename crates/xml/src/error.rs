@@ -37,6 +37,13 @@ pub enum XmlError {
         /// Byte offset of the trailing content.
         offset: usize,
     },
+    /// Elements nested deeper than the parser accepts.
+    TooDeep {
+        /// The deepest nesting accepted ([`crate::MAX_DEPTH`]).
+        limit: usize,
+        /// Byte offset just past the start tag that went too deep.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for XmlError {
@@ -60,6 +67,9 @@ impl fmt::Display for XmlError {
             XmlError::NoRootElement => write!(f, "document has no root element"),
             XmlError::TrailingContent { offset } => {
                 write!(f, "content after root element at offset {offset}")
+            }
+            XmlError::TooDeep { limit, offset } => {
+                write!(f, "elements nested deeper than {limit} at offset {offset}")
             }
         }
     }

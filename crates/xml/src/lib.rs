@@ -37,7 +37,7 @@ mod escape;
 mod reader;
 mod writer;
 
-pub use dom::{Attribute, Element, Node};
+pub use dom::{Attribute, Element, Node, MAX_DEPTH};
 pub use error::XmlError;
 pub use escape::{escape, escape_attr, unescape};
 pub use reader::{Event, Reader};
